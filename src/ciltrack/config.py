@@ -85,8 +85,6 @@ def _coerce(field: dataclasses.Field, raw: str):
         return int(raw)
     if t in ("float", float):
         return float(raw)
-    if t in ("bool", bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
     if field.name == "class_frequencies":
         return _parse_float_list(raw)
     raise FormatError(f"cannot parse key {field.name!r}")

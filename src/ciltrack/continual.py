@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .data import (
     select_sequences,
     strip_labels,
 )
-from .errors import StateError
+from .errors import NumericalError, StateError, check_ranges
 from .losses import ClassPrototypes, ContrastiveConfig, MemoryQueue
 from .simworld import NoiseConfig, WorldConfig, corrupt_detections, generate_world
 from .tracker import TrackerConfig
@@ -57,6 +58,10 @@ class TrainingConfig:
     pl_conf_thresh: float = 0.5
     det_pl_thresh: float = 0.7
     iou_thr: float = 0.5
+
+    def __post_init__(self):
+        limits = dict(epochs=">= 1", batch_size=">= 1", base_lr="> 0", clip_norm=">= 0")
+        check_ranges("training", self, **limits)
 
 
 @dataclass
@@ -177,13 +182,6 @@ def _assign_targets(frame: Frame, class_to_row: dict[int, int], iou_thr: float):
     return np.array(targets, dtype=np.intp), matched
 
 
-def _prep(acc, count, cfg: TrainingConfig):
-    g = model.scale_grads(acc, 1.0 / count)
-    if cfg.clip_norm > 0:
-        g = model.clip_grads(g, cfg.clip_norm)
-    return g
-
-
 def train_model(
     state: TrainedState,
     ds: SequenceDataset,
@@ -211,34 +209,24 @@ def train_model(
         weight_decay=cfg.weight_decay,
     )
     pairs = list(_frame_pairs(ds))
+    has_proposals = [bool(a.proposals or b.proposals) for a, b in pairs]
     sigma_p = None
 
     for epoch in range(cfg.epochs):
         opt = replace(opt, lr=model.lr_schedule(epoch, cfg.base_lr))
-        order = rng.permutation(len(pairs))
-        acc = None
-        acc_count = 0
-        for k in order:
+        # Pairs without proposals contribute nothing and are skipped.
+        order = [k for k in rng.permutation(len(pairs)) if has_proposals[k]]
+        acc, acc_count, step = None, 0, 0
+        for n_done, k in enumerate(order, start=1):
             frame_t, frame_t1 = pairs[k]
-            if not frame_t.proposals and not frame_t1.proposals:
-                continue
-            caches = []
-            dlogits_list = []
-            dembed_list = []
-            for frame in (frame_t, frame_t1):
-                if frame.proposals:
-                    cache = model.forward_batch(
-                        params, np.stack([p.feature for p in frame.proposals])
-                    )
-                else:
-                    cache = None
-                caches.append(cache)
-                dlogits_list.append(
-                    np.zeros_like(cache.logits) if cache is not None else None
-                )
-                dembed_list.append(
-                    np.zeros_like(cache.embed) if cache is not None else None
-                )
+            caches = [
+                model.forward_batch(params, np.stack([p.feature for p in f.proposals]))
+                if f.proposals
+                else None
+                for f in (frame_t, frame_t1)
+            ]
+            dlogits_list = [None if c is None else np.zeros_like(c.logits) for c in caches]
+            dembed_list = [None if c is None else np.zeros_like(c.embed) for c in caches]
 
             # Detection cross-entropy over both frames' proposals.
             logit_blocks, target_blocks, block_sizes = [], [], []
@@ -323,21 +311,24 @@ def train_model(
                         for row, (f_idx, i) in enumerate(owners[c]):
                             dembed_list[f_idx][i] += grad_rows[row]
 
-            grads = None
-            for cache, dlg, dmb in zip(caches, dlogits_list, dembed_list):
-                if cache is None:
-                    continue
-                g = model.backward_batch(params, cache, dlg, dmb)
-                grads = g if grads is None else model.add_grads(grads, g)
-            if grads is None:
-                continue
-            acc = grads if acc is None else model.add_grads(acc, grads)
+            backward = [
+                model.backward_batch(params, cache, dlg, dmb)
+                for cache, dlg, dmb in zip(caches, dlogits_list, dembed_list)
+                if cache is not None
+            ]
+            grads = reduce(np.add, backward)
+            acc = grads if acc is None else acc + grads
             acc_count += 1
-            if acc_count >= cfg.batch_size:
-                params, opt = model.sgd_step(params, _prep(acc, acc_count, cfg), opt)
-                acc, acc_count = None, 0
-        if acc is not None:
-            params, opt = model.sgd_step(params, _prep(acc, acc_count, cfg), opt)
+            if acc_count >= cfg.batch_size or n_done == len(order):
+                g = acc * (1.0 / acc_count)
+                if cfg.clip_norm > 0:
+                    g = model.clip_grads(g, cfg.clip_norm, params.shapes)
+                try:
+                    params, opt = model.sgd_step(params, g, opt)
+                except NumericalError as err:
+                    where = f"training diverged at epoch {epoch}, step {step}"
+                    raise NumericalError(f"{where}: {err}") from err
+                acc, acc_count, step = None, 0, step + 1
 
     return TrainedState(
         params=params, class_order=state.class_order, protos=protos, queue=queue

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class CiltrackError(Exception):
     """Base class for all package errors."""
@@ -39,3 +41,15 @@ class StateError(CiltrackError):
 
 class PlanError(CiltrackError):
     """A stage plan assigns the same class to more than one stage."""
+
+
+def check_ranges(section: str, config, **rules: str) -> None:
+    """Raise ValidationError naming ``[section] key`` for the first field of
+    ``config`` that is not finite or breaks its rule (``">= 1"``, ``"> 0"``)."""
+    for key, rule in rules.items():
+        value = getattr(config, key)
+        op, bound = rule.split()
+        in_range = value >= float(bound) if op == ">=" else value > float(bound)
+        if not (math.isfinite(value) and in_range):
+            message = f"[{section}] {key} = {value!r} must be finite and {rule}"
+            raise ValidationError(message)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Annotation, Frame, iou
-from .errors import DegenerateDistributionError
+from .errors import DegenerateDistributionError, check_ranges
 
 # Clamp under square roots so degenerate single-sample batches keep a
 # finite pull gradient.
@@ -36,6 +36,9 @@ class ContrastiveConfig:
     delta_push: float = 15.0
     sigma_p: float = 0.05  # prior std, constant across dimensions
     defer_new_classes_epochs: int = 1
+
+    def __post_init__(self):
+        check_ranges("contrastive", self, sigma_p="> 0")
 
 
 # ---------------------------------------------------------------------------

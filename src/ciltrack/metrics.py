@@ -265,13 +265,13 @@ def idf1_counts(
     return idtp, n_gt_frames, n_pred_frames
 
 
+def idf1_score(idtp: int, n_gt: int, n_pred: int):
+    """IDF1 from identity counts; None when there is no ground truth."""
+    return 2.0 * idtp / (n_gt + n_pred) if n_gt else None
+
+
 def idf1(gt_ds, pred_ds, class_id: int, iou_thr: float = 0.5):
-    idtp, n_gt, n_pred = idf1_counts(gt_ds, pred_ds, class_id, iou_thr)
-    if n_gt == 0:
-        return None
-    if n_gt + n_pred == 0:
-        return None
-    return 2.0 * idtp / (n_gt + n_pred)
+    return idf1_score(*idf1_counts(gt_ds, pred_ds, class_id, iou_thr))
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +323,29 @@ def average_precision(
         else:
             tp_flags.append(False)
 
-    # Precision-recall curve and monotone envelope, integrated
-    # left-to-right in plain Python for exact agreement with the
-    # enumeration oracle used in the tests.
+    # Precision-recall curve and monotone envelope (the running maximum of
+    # precision from the right), integrated left-to-right in plain Python
+    # for exact agreement with the enumeration oracle used in the tests.
     tp = 0
-    points = []
+    recalls, precisions = [], []
     for k, flag in enumerate(tp_flags, start=1):
         if flag:
             tp += 1
-        points.append((tp / n_gt, tp / k))
+        recalls.append(tp / n_gt)
+        precisions.append(tp / k)
+    return envelope_area(recalls, precisions)
+
+
+def envelope_area(recalls, precisions) -> float:
+    """Area under the all-point interpolated precision envelope: each rise
+    in recall is weighted by the best precision at or after it."""
+    envelope = precisions[:]
+    for i in range(len(envelope) - 2, -1, -1):
+        envelope[i] = max(envelope[i], envelope[i + 1])
     ap = 0.0
     prev_recall = 0.0
-    for i, (recall, _) in enumerate(points):
+    for recall, best_prec in zip(recalls, envelope):
         if recall > prev_recall:
-            best_prec = max(p for r, p in points[i:])
             ap += (recall - prev_recall) * best_prec
             prev_recall = recall
     return ap
@@ -406,7 +415,7 @@ def evaluate(
         ap = average_precision(gt_ds, pred_ds, c, iou_thr)
         per_class[c] = {
             "MOTA": mota(counts),
-            "IDF1": (2.0 * idtp / (n_gt_fr + n_pred_fr)) if n_gt_fr else None,
+            "IDF1": idf1_score(idtp, n_gt_fr, n_pred_fr),
             "AP": ap,
             "counts": counts,
         }
@@ -426,11 +435,7 @@ def evaluate(
     }
     overall = {
         "MOTA": mota(pooled),
-        "IDF1": (
-            2.0 * pooled_idtp / (pooled_gt_fr + pooled_pred_fr)
-            if pooled_gt_fr
-            else None
-        ),
+        "IDF1": idf1_score(pooled_idtp, pooled_gt_fr, pooled_pred_fr),
         "mAP": float(np.mean(aps)) if aps else None,
     }
     return MetricReport(

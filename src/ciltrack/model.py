@@ -10,20 +10,25 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import FormatError, NumericalError, ShapeError
 
 CHECKPOINT_MAGIC = b"CILCKPT1"
+_HEADER_BYTES = len(CHECKPOINT_MAGIC) + 8  # magic, then the metadata length
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "wc", "bc", "we", "be")
 
 
 @dataclass(frozen=True)
 class ModelParams:
+    """All head parameters in one contiguous, read-only float64 vector;
+    ``w1 ... be`` are reshaped views of it in ``PARAM_FIELDS`` order."""
+
     w1: np.ndarray  # (H, F)
     b1: np.ndarray  # (H,)
     w2: np.ndarray  # (H, H)
@@ -32,14 +37,31 @@ class ModelParams:
     bc: np.ndarray  # (C+1,)
     we: np.ndarray  # (N_d, H)
     be: np.ndarray  # (N_d,)
+    vector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in PARAM_FIELDS:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise ShapeError(f"non-finite entries in {name}")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        arrays = [np.asarray(getattr(self, n), dtype=np.float64) for n in PARAM_FIELDS]
+        vector = np.concatenate([a.ravel() for a in arrays])
+        self._bind(vector, [a.shape for a in arrays])
+        _require_finite(self)
+
+    @classmethod
+    def from_vector(cls, vector: np.ndarray, shapes) -> "ModelParams":
+        """Wrap ``vector`` as parameters without copying or checking it; the
+        vector is made read-only."""
+        p = cls.__new__(cls)
+        p._bind(vector, shapes)
+        return p
+
+    def _bind(self, vector: np.ndarray, shapes) -> None:
+        vector.flags.writeable = False
+        object.__setattr__(self, "vector", vector)
+        for name, part in zip(PARAM_FIELDS, _split(vector, shapes)):
+            object.__setattr__(self, name, part)
+
+    @property
+    def shapes(self) -> tuple:
+        return tuple(getattr(self, n).shape for n in PARAM_FIELDS)
 
     @property
     def feature_dim(self) -> int:
@@ -57,23 +79,17 @@ class ModelParams:
     def embed_dim(self) -> int:
         return self.we.shape[0]
 
-    def arrays(self):
-        return tuple(getattr(self, name) for name in PARAM_FIELDS)
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
+def _split(vector: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive segments of ``vector`` with the given shapes."""
+    ends = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    return [part.reshape(s) for part, s in zip(np.split(vector, ends), shapes)]
 
-    def with_flat(self, flat: np.ndarray) -> "ModelParams":
-        out, i = {}, 0
-        for name in PARAM_FIELDS:
-            shape = getattr(self, name).shape
-            n = int(np.prod(shape))
-            out[name] = flat[i : i + n].reshape(shape)
-            i += n
-        return ModelParams(**out)
 
-    def zeros_like(self) -> "ModelParams":
-        return ModelParams(**{n: np.zeros_like(getattr(self, n)) for n in PARAM_FIELDS})
+def _require_finite(p: ModelParams) -> None:
+    if not np.isfinite(p.vector).all():
+        bad = [n for n in PARAM_FIELDS if not np.isfinite(getattr(p, n)).all()]
+        raise ShapeError(f"non-finite entries in {', '.join(bad)}")
 
 
 def init_params(
@@ -140,8 +156,9 @@ def backward_batch(
     cache: ForwardCache,
     dlogits: np.ndarray | None = None,
     dembed: np.ndarray | None = None,
-) -> ModelParams:
-    """Parameter gradients given upstream gradients on logits/embeddings."""
+) -> np.ndarray:
+    """Parameter gradient, as one vector laid out like ``p.vector``, given
+    upstream gradients on logits/embeddings."""
     B = cache.x.shape[0]
     if dlogits is None:
         dlogits = np.zeros((B, p.n_classes + 1))
@@ -161,25 +178,19 @@ def backward_batch(
     dz1 = dh1 * (1.0 - cache.h1**2)
     dw1 = dz1.T @ cache.x
     db1 = dz1.sum(axis=0)
-    return ModelParams(w1=dw1, b1=db1, w2=dw2, b2=db2, wc=dwc, bc=dbc, we=dwe, be=dbe)
+    return np.concatenate([a.ravel() for a in (dw1, db1, dw2, db2, dwc, dbc, dwe, dbe)])
 
 
-def add_grads(a: ModelParams, b: ModelParams) -> ModelParams:
-    return ModelParams(
-        **{n: getattr(a, n) + getattr(b, n) for n in PARAM_FIELDS}
-    )
+def clip_grads(g: np.ndarray, max_norm: float, shapes) -> np.ndarray:
+    """Rescale so the global L2 norm is at most ``max_norm``.
 
-
-def scale_grads(a: ModelParams, s: float) -> ModelParams:
-    return ModelParams(**{n: getattr(a, n) * s for n in PARAM_FIELDS})
-
-
-def clip_grads(g: ModelParams, max_norm: float) -> ModelParams:
-    """Rescale so the global L2 norm is at most ``max_norm``."""
-    norm = float(np.sqrt(sum(float((arr**2).sum()) for arr in g.arrays())))
+    The squared norm is summed per parameter segment, in ``PARAM_FIELDS``
+    order, as Python floats; that order is part of the checkpoint bits.
+    """
+    norm = float(np.sqrt(sum(float((seg**2).sum()) for seg in _split(g, shapes))))
     if norm <= max_norm or norm == 0.0:
         return g
-    return scale_grads(g, max_norm / norm)
+    return g * (max_norm / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -210,36 +221,27 @@ def extend_classifier(
 
 @dataclass
 class OptState:
-    velocity: ModelParams
+    velocity: np.ndarray  # laid out like ModelParams.vector
     lr: float = 0.02
     momentum: float = 0.9
     weight_decay: float = 1e-4
 
     @classmethod
     def fresh(cls, p: ModelParams, lr=0.02, momentum=0.9, weight_decay=1e-4):
-        return cls(
-            velocity=p.zeros_like(),
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-        )
+        return cls(np.zeros_like(p.vector), lr, momentum, weight_decay)
 
 
 def sgd_step(
-    p: ModelParams, grads: ModelParams, state: OptState
+    p: ModelParams, grads: np.ndarray, state: OptState
 ) -> tuple[ModelParams, OptState]:
     """v <- m v + g + wd w;  w <- w - lr v."""
-    new_params, new_vel = {}, {}
-    for name in PARAM_FIELDS:
-        w = getattr(p, name)
-        g = getattr(grads, name)
-        v = getattr(state.velocity, name)
-        if g.shape != w.shape:
-            raise ShapeError(f"gradient shape mismatch for {name}")
-        v = state.momentum * v + g + state.weight_decay * w
-        new_vel[name] = v
-        new_params[name] = w - state.lr * v
-    return ModelParams(**new_params), replace(state, velocity=ModelParams(**new_vel))
+    if grads.shape != p.vector.shape:
+        raise ShapeError(f"gradient shape {grads.shape} != {p.vector.shape}")
+    v = state.momentum * state.velocity + grads + state.weight_decay * p.vector
+    w = p.vector - state.lr * v
+    if not np.isfinite(w).all():
+        raise NumericalError(f"non-finite parameters after an SGD step (lr {state.lr})")
+    return ModelParams.from_vector(w, p.shapes), replace(state, velocity=v)
 
 
 def lr_schedule(epoch: int, base_lr: float) -> float:
@@ -258,23 +260,22 @@ def lr_schedule(epoch: int, base_lr: float) -> float:
 def grad_check(loss_and_grad, p: ModelParams, eps: float = 1e-5) -> float:
     """Compare analytic gradients against central finite differences.
 
-    ``loss_and_grad(p)`` must return ``(value, grads: ModelParams)``.
-    Returns the max over parameters of
+    ``loss_and_grad(p)`` must return ``(value, grads)``, with ``grads``
+    laid out like ``p.vector``.  Returns the max over parameters of
     ``|g_a - g_fd| / max(1e-8, |g_a| + |g_fd|)``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    value, grads = loss_and_grad(p)
+    value, g_a = loss_and_grad(p)
     if not np.isfinite(value):
         raise NumericalError("loss is non-finite")
-    g_a = grads.flat()
-    flat = p.flat()
+    flat, shapes = p.vector, p.shapes
     g_fd = np.empty_like(g_a)
     for i in range(flat.size):
         bump = np.zeros_like(flat)
         bump[i] = eps
-        lo, _ = loss_and_grad(p.with_flat(flat - bump))
-        hi, _ = loss_and_grad(p.with_flat(flat + bump))
+        lo, _ = loss_and_grad(ModelParams.from_vector(flat - bump, shapes))
+        hi, _ = loss_and_grad(ModelParams.from_vector(flat + bump, shapes))
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NumericalError("loss is non-finite under perturbation")
         g_fd[i] = (hi - lo) / (2.0 * eps)
@@ -283,8 +284,10 @@ def grad_check(loss_and_grad, p: ModelParams, eps: float = 1e-5) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic, u64 metadata length, JSON metadata, little-endian
-# float64 blob holding parameters followed by any extra state arrays.
+# Checkpoint format: magic, u64 metadata length, JSON metadata, then one
+# little-endian float64 blob: the parameter vector, then each extra state
+# array.  The metadata's ``param_layout`` and ``extra_layout`` give their
+# shapes, and with them the exact length of the file.
 
 
 def save_checkpoint(
@@ -295,8 +298,6 @@ def save_checkpoint(
 ) -> None:
     metadata = dict(metadata or {})
     extra_arrays = extra_arrays or {}
-    layout = [[name, list(getattr(p, name).shape)] for name in PARAM_FIELDS]
-    extra_layout = [[name, list(np.asarray(a).shape)] for name, a in extra_arrays.items()]
     metadata.update(
         {
             "format_version": 1,
@@ -304,48 +305,54 @@ def save_checkpoint(
             "hidden_dim": p.hidden_dim,
             "n_classes": p.n_classes,
             "embed_dim": p.embed_dim,
-            "param_layout": layout,
-            "extra_layout": extra_layout,
+            "param_layout": [[n, list(s)] for n, s in zip(PARAM_FIELDS, p.shapes)],
+            "extra_layout": [[n, list(np.shape(a))] for n, a in extra_arrays.items()],
         }
-    )
-    blob = b"".join(
-        np.ascontiguousarray(a, dtype="<f8").tobytes() for a in p.arrays()
-    )
-    blob += b"".join(
-        np.ascontiguousarray(np.asarray(a, dtype=np.float64), dtype="<f8").tobytes()
-        for a in extra_arrays.values()
     )
     meta_bytes = json.dumps(metadata, sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(meta_bytes)))
         f.write(meta_bytes)
-        f.write(blob)
+        f.write(p.vector.astype("<f8", copy=False).tobytes())
+        for a in extra_arrays.values():
+            f.write(np.asarray(a, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str):
-    """Returns (params, metadata, extra_arrays)."""
+    """Returns (params, metadata, extra_arrays).  Raises ShapeError for a
+    file that does not start like a checkpoint, and FormatError for one
+    whose length is not what its header and metadata declare."""
     with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ShapeError(f"{path}: not a checkpoint file")
-        (meta_len,) = struct.unpack("<Q", f.read(8))
-        metadata = json.loads(f.read(meta_len).decode())
-        blob = f.read()
-    offset = 0
-    fields = {}
-    for name, shape in metadata["param_layout"]:
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
-        fields[name] = arr.copy()
-        offset += n * 8
-    extras = {}
-    for name, shape in metadata["extra_layout"]:
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
-        extras[name] = arr.copy()
-        offset += n * 8
-    return ModelParams(**fields), metadata, extras
+        data = f.read()
+    if not CHECKPOINT_MAGIC.startswith(data[: len(CHECKPOINT_MAGIC)]):
+        raise ShapeError(f"{path}: not a checkpoint file")
+
+    def require_length(expected: int, exact: bool = False) -> None:
+        if len(data) < expected or (exact and len(data) != expected):
+            at_least = "" if exact else "at least "
+            raise FormatError(
+                f"{path}: expected {at_least}{expected} bytes, file has {len(data)}"
+            )
+
+    require_length(_HEADER_BYTES)
+    (meta_len,) = struct.unpack_from("<Q", data, len(CHECKPOINT_MAGIC))
+    blob_start = _HEADER_BYTES + meta_len
+    require_length(blob_start)
+    metadata = json.loads(data[_HEADER_BYTES:blob_start].decode())
+    if not {"param_layout", "extra_layout"} <= metadata.keys():
+        raise FormatError(f"{path}: metadata lacks param_layout or extra_layout")
+    shapes = [tuple(s) for _, s in metadata["param_layout"]]
+    extra_shapes = [tuple(s) for _, s in metadata["extra_layout"]]
+    n_params = sum(map(math.prod, shapes))
+    n_values = sum(map(math.prod, shapes + extra_shapes))
+    require_length(blob_start + 8 * n_values, exact=True)
+    # Copied: ``blob_start`` need not be 8-byte aligned, and ``data`` is read-only.
+    blob = np.frombuffer(data, dtype="<f8", offset=blob_start).copy()
+    params = ModelParams.from_vector(blob[:n_params], shapes)
+    _require_finite(params)
+    extras = _split(blob[n_params:], extra_shapes)
+    return params, metadata, dict(zip((n for n, _ in metadata["extra_layout"]), extras))
 
 
 def checkpoint_digest(path: str) -> str:

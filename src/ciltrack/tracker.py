@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .data import Annotation, BoundingBox, Frame, SequenceDataset, iou
+from .errors import FormatError, check_ranges
 from .model import ModelParams, forward_batch
 from .losses import softmax
 
@@ -31,6 +32,9 @@ class TrackerConfig:
     max_age: int = 5
     min_hits: int = 2
     nms_iou: float = 0.5
+
+    def __post_init__(self):
+        check_ranges("tracker", self, max_age=">= 0", min_hits=">= 1")
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,10 @@ class Track:
 
     def __post_init__(self):
         idx = [pt.frame_index for pt in self.points]
-        assert idx == sorted(set(idx)), "track frame indices must increase"
+        if idx != sorted(set(idx)):
+            raise FormatError(
+                f"track {self.track_id}: frame indices must increase, got {idx}"
+            )
 
     def mean_confidence(self) -> float:
         return float(np.mean([pt.confidence for pt in self.points]))

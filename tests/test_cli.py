@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from ciltrack.cli import cli_dispatch
@@ -142,3 +143,40 @@ class TestPipeline:
             with open(f"{b}/{stage}/metrics.csv", newline="") as f:
                 rows_b = list(csv.reader(f))
             assert rows_a == rows_b
+
+
+class TestFailFast:
+    def test_divergent_training_exit_3(self, tmp_path, capsys):
+        ini = tmp_path / "div.ini"
+        ini.write_text(
+            "[world]\nn_sequences = 2\nframes_per_sequence = 8\n"
+            "[training]\nbase_lr = 1e300\n"
+        )
+        with np.errstate(all="ignore"):
+            code = run("run-protocol", "--config", str(ini), "--out", str(tmp_path / "r"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "ciltrack: NumericalError: training diverged at epoch 0, step " in err
+
+    def test_out_of_range_config_exit_2(self, tmp_path, capsys):
+        ini = tmp_path / "e0.ini"
+        ini.write_text("[training]\nepochs = 0\n")
+        assert run("gen", "--config", str(ini), "--out", str(tmp_path / "d")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ciltrack: ValidationError: [training] epochs = 0")
+
+    def test_truncated_checkpoint_exit_2(self, tmp_path, ini, capsys):
+        data = str(tmp_path / "data")
+        run("gen", "--config", ini, "--out", data)
+        ckpt = tmp_path / "s0.bin"
+        run("train-stage", "--config", ini, "--data", data, "--stage", "0",
+            "--out", str(ckpt))
+        full = ckpt.read_bytes()
+        for cut in (4, 12, 40, len(full) - 100):
+            ckpt.write_bytes(full[:cut])
+            code = run("track", "--config", ini, "--ckpt", str(ckpt),
+                       "--data", data, "--out", str(tmp_path / "trk"))
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("ciltrack: FormatError: ")
+            assert str(ckpt) in err and f"file has {cut}" in err

@@ -127,3 +127,38 @@ class TestRoundTrip:
         out = str(tmp_path / "resolved.ini")
         write_config(cfg, out)
         assert read_config(out) == cfg
+
+
+class TestRanges:
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("training", "epochs", "0"),
+            ("training", "batch_size", "0"),
+            ("training", "base_lr", "0"),
+            ("training", "base_lr", "-0.02"),
+            ("training", "base_lr", "nan"),
+            ("training", "base_lr", "inf"),
+            ("training", "clip_norm", "-1"),
+            ("training", "clip_norm", "nan"),
+            ("tracker", "max_age", "-3"),
+            ("tracker", "min_hits", "0"),
+            ("contrastive", "sigma_p", "0"),
+            ("contrastive", "sigma_p", "-0.05"),
+        ],
+    )
+    def test_out_of_range_rejected(self, tmp_path, section, key, value):
+        path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ValidationError, match=rf"^\[{section}\] {key} = "):
+            read_config(path)
+
+    def test_boundary_values_accepted(self, tmp_path):
+        cfg = read_config(
+            write(
+                tmp_path,
+                "[training]\nepochs = 1\nbatch_size = 1\nclip_norm = 0\n"
+                "[tracker]\nmax_age = 0\nmin_hits = 1\n",
+            )
+        )
+        assert cfg.training.clip_norm == 0.0
+        assert cfg.tracker.max_age == 0

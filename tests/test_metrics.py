@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ciltrack.data import Annotation, BoundingBox, Frame, SequenceDataset, iou
 from ciltrack.metrics import (
@@ -13,6 +15,7 @@ from ciltrack.metrics import (
     average_precision,
     clearmot_counts,
     detection_f1,
+    envelope_area,
     evaluate,
     idf1,
     idf1_counts,
@@ -417,3 +420,52 @@ class TestIdf1CountsShape:
         idtp, n_gt, n_pred = idf1_counts(gt, pred, 0)
         assert idtp >= 0 and n_gt >= 0 and n_pred >= 0
         assert idtp <= min(n_gt, n_pred)
+
+
+def reference_envelope_area(recalls, precisions):
+    """The quadratic envelope the linear pass replaced: rescan the precision
+    suffix at every rise in recall."""
+    points = list(zip(recalls, precisions))
+    ap = 0.0
+    prev_recall = 0.0
+    for i, (recall, _) in enumerate(points):
+        if recall > prev_recall:
+            best_prec = max(p for r, p in points[i:])
+            ap += (recall - prev_recall) * best_prec
+            prev_recall = recall
+    return ap
+
+
+class TestEnvelope:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        flags=st.lists(st.booleans(), max_size=60),
+        extra_gt=st.integers(0, 10),
+    )
+    def test_ranked_detections_match_reference_exactly(self, flags, extra_gt):
+        n_gt = sum(flags) + extra_gt or 1
+        tp, recalls, precisions = 0, [], []
+        for k, flag in enumerate(flags, start=1):
+            tp += flag
+            recalls.append(tp / n_gt)
+            precisions.append(tp / k)
+        got = envelope_area(recalls, precisions)
+        assert got == reference_envelope_area(recalls, precisions)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=40
+        )
+    )
+    def test_arbitrary_curves_match_reference_exactly(self, points):
+        recalls = sorted(r for r, _ in points)
+        precisions = [p for _, p in points]
+        got = envelope_area(recalls, precisions)
+        assert got == reference_envelope_area(recalls, precisions)
+
+    def test_evaluate_idf1_equals_idf1(self):
+        for seed in range(10):
+            gt, pred = micro_case(seed)
+            report = evaluate(gt, pred, [0])
+            assert report.per_class[0]["IDF1"] == idf1(gt, pred, 0)

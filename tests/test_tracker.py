@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from ciltrack.data import Annotation, BoundingBox, Frame
+from ciltrack.errors import FormatError
 from ciltrack.model import init_params
 from ciltrack.tracker import (
     Detection,
+    Track,
+    TrackPoint,
     TrackerConfig,
     associate,
     bisoftmax_similarity,
@@ -230,3 +237,36 @@ class TestTracksToDataset:
             ann = frame.annotations[0]
             assert ann.instance_id == out.tracks[0].track_id
             assert ann.confidence is not None
+
+
+class TestTrackInvariant:
+    @staticmethod
+    def points(indices):
+        box = BoundingBox(0.5, 0.5, 0.1, 0.1)
+        return tuple(TrackPoint(i, box, 0.9, np.zeros(2)) for i in indices)
+
+    @pytest.mark.parametrize("indices", [(2, 1), (0, 0), (0, 3, 2)])
+    def test_unordered_frames_rejected(self, indices):
+        with pytest.raises(FormatError, match="frame indices"):
+            Track(track_id=4, class_id=0, points=self.points(indices))
+
+    def test_rejected_under_optimize(self):
+        # ``python -O`` strips assert statements; the check must survive it.
+        code = (
+            "import numpy as np\n"
+            "from ciltrack.data import BoundingBox\n"
+            "from ciltrack.errors import FormatError\n"
+            "from ciltrack.tracker import Track, TrackPoint\n"
+            "box = BoundingBox(0.5, 0.5, 0.1, 0.1)\n"
+            "pts = tuple(TrackPoint(i, box, 0.9, np.zeros(2)) for i in (1, 0))\n"
+            "try:\n"
+            "    Track(track_id=0, class_id=0, points=pts)\n"
+            "except FormatError:\n"
+            "    print('rejected')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "rejected"
