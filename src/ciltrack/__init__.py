@@ -7,7 +7,6 @@ class-level contrastive terms, and CLEAR-MOT/identity/AP evaluation.
 """
 
 from . import (  # noqa: F401
-    cli,
     config,
     continual,
     data,
@@ -20,7 +19,6 @@ from . import (  # noqa: F401
 )
 from .config import ExperimentConfig, PlanConfig, read_config, write_config
 from .continual import (
-    StageRun,
     TrainedState,
     TrainingConfig,
     generate_det_pls,
@@ -68,7 +66,6 @@ __all__ = [
     "PlanConfig",
     "SequenceDataset",
     "StagePlan",
-    "StageRun",
     "TrackerConfig",
     "TrainedState",
     "TrainingConfig",

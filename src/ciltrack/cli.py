@@ -14,6 +14,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import continual, metrics, tracker
 from .config import ExperimentConfig, read_config, write_config
 from .data import load_dataset, save_dataset, select_sequences, strip_labels
@@ -330,7 +332,10 @@ def cli_dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise _UsageError("a subcommand is required")
-        return args.func(args)
+        # Overflow on the way to divergence is reported once, by the
+        # per-step finiteness check, not as numpy warnings.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _UsageError as err:
         print(f"ciltrack: UsageError: {err}", file=sys.stderr)
         return 1

@@ -65,16 +65,6 @@ class TrainingConfig:
 
 
 @dataclass
-class StageRun:
-    stage_index: int
-    method: Method
-    input_checkpoint: str | None
-    checkpoint: str
-    pseudo_label_dir: str | None
-    seed: int
-
-
-@dataclass
 class TrainedState:
     """Model parameters plus the embedding-distribution state that travels
     with them between stages."""
@@ -108,7 +98,7 @@ def save_state(
             [len(state.queue.queues[c]) for c in queue_classes], dtype=np.float64
         )
         extra["queue_data"] = np.concatenate(
-            [np.stack(state.queue.queues[c]) for c in queue_classes]
+            [state.queue.queues[c] for c in queue_classes]
         )
     metadata = {
         "stage": stage,
@@ -145,9 +135,7 @@ def load_state(path: str) -> tuple[TrainedState, dict]:
             extra["queue_classes"].astype(int),
             extra["queue_lengths"].astype(int),
         ):
-            queue.queues[int(c)] = [
-                extra["queue_data"][offset + k].copy() for k in range(n)
-            ]
+            queue.queues[int(c)] = extra["queue_data"][offset : offset + n].copy()
             offset += n
     state = TrainedState(
         params=params,
@@ -168,18 +156,63 @@ def _frame_pairs(ds: SequenceDataset):
             yield frames[k], frames[k + 1]
 
 
-def _assign_targets(frame: Frame, class_to_row: dict[int, int], iou_thr: float):
-    """Per proposal: classifier row of the best-IoU annotation, or the
-    background row.  Matching is geometric only."""
-    background = len(class_to_row)
-    matched = losses.match_proposals(frame.proposals, frame.annotations, iou_thr)
-    targets = []
-    for m in matched:
-        if m is None:
-            targets.append(background)
-        else:
-            targets.append(class_to_row.get(frame.annotations[m].class_id, background))
-    return np.array(targets, dtype=np.intp), matched
+@dataclass(frozen=True)
+class PairBatch:
+    """The supervision of one adjacent-frame pair, fixed for a whole
+    ``train_model`` call.
+
+    Rows index the pair's proposals stacked frame t first; a frame without
+    proposals adds no rows.  ``contrast_rows`` and ``class_rows`` are the
+    scatter order of the embedding gradients: anchors, then each sample's
+    positives and negatives, then each class's matched proposals.
+    """
+
+    features: tuple[np.ndarray, ...]  # one block per frame with proposals
+    cuts: tuple[int, ...]  # row offsets splitting the stack into those blocks
+    targets: np.ndarray  # classifier row per proposal, background last
+    anchors: np.ndarray
+    positives: tuple[np.ndarray, ...]  # one row array per anchor
+    negatives: tuple[np.ndarray, ...]
+    contrast_rows: np.ndarray
+    class_rows: dict[int, np.ndarray]  # class id -> rows, first-seen order
+
+    @classmethod
+    def build(cls, frame_t: Frame, frame_t1: Frame, class_to_row, iou_thr: float):
+        """Geometric matching only: each proposal takes the class of its
+        best-IoU annotation, or the background row."""
+        frames = [f for f in (frame_t, frame_t1) if f.proposals]
+        background = len(class_to_row)
+        targets, class_rows, offset = [], {}, 0
+        for frame in frames:
+            matched = losses.match_proposals(frame.proposals, frame.annotations, iou_thr)
+            for i, m in enumerate(matched):
+                if m is None:
+                    targets.append(background)
+                    continue
+                c = frame.annotations[m].class_id
+                targets.append(class_to_row.get(c, background))
+                class_rows.setdefault(c, []).append(offset + i)
+            offset += len(frame.proposals)
+
+        n_t = len(frame_t.proposals)
+        samples = []
+        if len(frames) == 2:
+            samples = losses.sample_pairs(frame_t, frame_t1, iou_thr)
+        positives = tuple(np.array(s.positives, dtype=np.intp) + n_t for s in samples)
+        negatives = tuple(np.array(s.negatives, dtype=np.intp) + n_t for s in samples)
+        anchors = np.array([s.anchor for s in samples], dtype=np.intp)
+        return cls(
+            features=tuple(np.stack([p.feature for p in f.proposals]) for f in frames),
+            cuts=(n_t,) if len(frames) == 2 else (),
+            targets=np.array(targets, dtype=np.intp),
+            anchors=anchors,
+            positives=positives,
+            negatives=negatives,
+            contrast_rows=np.concatenate(
+                [anchors] + [r for pn in zip(positives, negatives) for r in pn]
+            ),
+            class_rows={c: np.array(r, dtype=np.intp) for c, r in class_rows.items()},
+        )
 
 
 def train_model(
@@ -208,85 +241,41 @@ def train_model(
         momentum=cfg.momentum,
         weight_decay=cfg.weight_decay,
     )
-    pairs = list(_frame_pairs(ds))
-    has_proposals = [bool(a.proposals or b.proposals) for a, b in pairs]
+    # Pairs without proposals contribute nothing and get no batch.
+    batches = [
+        PairBatch.build(a, b, class_to_row, cfg.iou_thr)
+        if a.proposals or b.proposals
+        else None
+        for a, b in _frame_pairs(ds)
+    ]
     sigma_p = None
 
     for epoch in range(cfg.epochs):
         opt = replace(opt, lr=model.lr_schedule(epoch, cfg.base_lr))
-        # Pairs without proposals contribute nothing and are skipped.
-        order = [k for k in rng.permutation(len(pairs)) if has_proposals[k]]
+        order = [k for k in rng.permutation(len(batches)) if batches[k] is not None]
         acc, acc_count, step = None, 0, 0
         for n_done, k in enumerate(order, start=1):
-            frame_t, frame_t1 = pairs[k]
-            caches = [
-                model.forward_batch(params, np.stack([p.feature for p in f.proposals]))
-                if f.proposals
-                else None
-                for f in (frame_t, frame_t1)
-            ]
-            dlogits_list = [None if c is None else np.zeros_like(c.logits) for c in caches]
-            dembed_list = [None if c is None else np.zeros_like(c.embed) for c in caches]
-
+            batch = batches[k]
+            caches = [model.forward_batch(params, x) for x in batch.features]
             # Detection cross-entropy over both frames' proposals.
-            logit_blocks, target_blocks, block_sizes = [], [], []
-            match_by_frame = []
-            for frame, cache in zip((frame_t, frame_t1), caches):
-                if cache is None:
-                    match_by_frame.append([])
-                    block_sizes.append(0)
-                    continue
-                targets, matched = _assign_targets(frame, class_to_row, cfg.iou_thr)
-                logit_blocks.append(cache.logits)
-                target_blocks.append(targets)
-                block_sizes.append(cache.logits.shape[0])
-                match_by_frame.append(matched)
-            if logit_blocks:
-                _, dlog = losses.detection_loss(
-                    np.concatenate(logit_blocks),
-                    np.concatenate(target_blocks),
-                )
-                offset = 0
-                for f_idx in range(2):
-                    n = block_sizes[f_idx]
-                    if n:
-                        dlogits_list[f_idx] += dlog[offset : offset + n]
-                        offset += n
+            _, dlogits = losses.detection_loss(
+                np.concatenate([c.logits for c in caches]), batch.targets
+            )
+            embed = np.concatenate([c.embed for c in caches])
+            rows, drows = [], []
 
             # Cross-frame instance contrastive loss.
-            if caches[0] is not None and caches[1] is not None:
-                samples = losses.sample_pairs(frame_t, frame_t1, cfg.iou_thr)
-                if samples:
-                    anchor_idx = [s.anchor for s in samples]
-                    anchors = caches[0].embed[anchor_idx]
-                    pos_sets = [caches[1].embed[list(s.positives)] for s in samples]
-                    neg_sets = [caches[1].embed[list(s.negatives)] for s in samples]
-                    _, dan, dpos, dneg = losses.track_contrastive_loss(
-                        anchors, pos_sets, neg_sets
-                    )
-                    for row, i in enumerate(anchor_idx):
-                        dembed_list[0][i] += dan[row]
-                    for s, gp, gn in zip(samples, dpos, dneg):
-                        for row, j in enumerate(s.positives):
-                            dembed_list[1][j] += gp[row]
-                        for row, j in enumerate(s.negatives):
-                            dembed_list[1][j] += gn[row]
+            if batch.anchors.size:
+                _, dan, dpos, dneg = losses.track_contrastive_loss(
+                    embed[batch.anchors],
+                    [embed[r] for r in batch.positives],
+                    [embed[r] for r in batch.negatives],
+                )
+                rows.append(batch.contrast_rows)
+                drows += [dan] + [g for pn in zip(dpos, dneg) for g in pn]
 
             # Class-level contrastive terms via batch statistics.
-            embeds_by_class: dict[int, list] = {}
-            owners: dict[int, list] = {}
-            for f_idx, (frame, cache) in enumerate(zip((frame_t, frame_t1), caches)):
-                if cache is None:
-                    continue
-                for i, m in enumerate(match_by_frame[f_idx]):
-                    if m is None:
-                        continue
-                    c = frame.annotations[m].class_id
-                    embeds_by_class.setdefault(c, []).append(cache.embed[i])
-                    owners.setdefault(c, []).append((f_idx, i))
-            embeds_by_class = {
-                c: np.stack(v) for c, v in embeds_by_class.items()
-            }
+            embeds_by_class = {c: embed[r] for c, r in batch.class_rows.items()}
             losses.queue_update(queue, protos, embeds_by_class, rng)
 
             if use_contrastive:
@@ -307,14 +296,19 @@ def train_model(
                     dmu = {c: ct_cfg.beta2 * g for c, g in dmu.items()}
                     dsig = {c: ct_cfg.beta1 * g for c, g in dsig.items()}
                     demb = losses.stats_backward(gated, protos, dmu, dsig)
-                    for c, grad_rows in demb.items():
-                        for row, (f_idx, i) in enumerate(owners[c]):
-                            dembed_list[f_idx][i] += grad_rows[row]
+                    rows += [batch.class_rows[c] for c in demb]
+                    drows += list(demb.values())
 
+            # np.add.at applies repeated rows in index order, so each row
+            # sums its terms in the order listed in PairBatch.
+            dembed = np.zeros_like(embed)
+            if rows:
+                np.add.at(dembed, np.concatenate(rows), np.concatenate(drows))
             backward = [
                 model.backward_batch(params, cache, dlg, dmb)
-                for cache, dlg, dmb in zip(caches, dlogits_list, dembed_list)
-                if cache is not None
+                for cache, dlg, dmb in zip(
+                    caches, np.split(dlogits, batch.cuts), np.split(dembed, batch.cuts)
+                )
             ]
             grads = reduce(np.add, backward)
             acc = grads if acc is None else acc + grads
@@ -449,78 +443,83 @@ def train_stage(
     feature_dim = _dataset_feature_dim(stage_data)
 
     if b == 0 or method is Method.ORACLE:
-        class_order = sorted(stage_classes)
         params = model.init_params(
             feature_dim,
-            n_classes=len(class_order),
+            n_classes=len(stage_classes),
             hidden_dim=cfg.hidden_dim,
             embed_dim=cfg.embed_dim,
             seed=cfg.seed,
         )
         state = TrainedState(
             params=params,
-            class_order=class_order,
+            class_order=sorted(stage_classes),
             protos=ClassPrototypes(),
             queue=MemoryQueue(),
         )
+        train_data, use_contrastive, parent_digest = stage_data, False, None
+    else:
+        if prev_ckpt is None:
+            raise StateError(f"stage {b} requires the stage {b - 1} checkpoint")
+        prev_state, prev_meta = load_state(prev_ckpt)
+        _check_lineage(prev_ckpt, prev_meta, plan, b)
+        parent_digest = model.checkpoint_digest(prev_ckpt)
+        old_classes = set(prev_state.class_order)
+        params = model.extend_classifier(
+            prev_state.params, len(stage_classes), seed=cfg.seed + 1000 + b
+        )
+        state = TrainedState(
+            params=params,
+            class_order=prev_state.class_order + sorted(stage_classes),
+            protos=prev_state.protos,
+            queue=prev_state.queue,
+        )
+        train_data, use_contrastive = stage_data, False
+        if method is Method.TRACK_PL:
+            pls = generate_tracker_pls(
+                prev_state, stage_data, tracker_cfg, old_classes, cfg.pl_conf_thresh
+            )
+            if pl_dir:
+                save_dataset(pls, pl_dir)
+            train_data = merge_labels(stage_data, pls)
+            use_contrastive = True
+        elif method is Method.DET_PL:
+            pls = generate_det_pls(
+                prev_state, stage_data, tracker_cfg, old_classes, cfg.det_pl_thresh
+            )
+            if pl_dir:
+                save_dataset(pls, pl_dir)
+            train_data = merge_labels(stage_data, pls)
+
+    try:
         state = train_model(
             state,
-            stage_data,
+            train_data,
             new_classes=stage_classes,
             cfg=cfg,
             ct_cfg=ct_cfg,
-            use_contrastive=False,
+            use_contrastive=use_contrastive,
             seed=cfg.seed + b,
         )
-        save_state(out_ckpt, state, stage=b, method=method)
-        return state
-
-    if prev_ckpt is None:
-        raise StateError(f"stage {b} requires the stage {b - 1} checkpoint")
-    prev_state, _ = load_state(prev_ckpt)
-    parent_digest = model.checkpoint_digest(prev_ckpt)
-    old_classes = set(prev_state.class_order)
-
-    new_order = prev_state.class_order + sorted(stage_classes)
-    params = model.extend_classifier(
-        prev_state.params, len(stage_classes), seed=cfg.seed + 1000 + b
-    )
-    state = TrainedState(
-        params=params,
-        class_order=new_order,
-        protos=prev_state.protos,
-        queue=prev_state.queue,
-    )
-
-    train_data = stage_data
-    use_contrastive = False
-    if method is Method.TRACK_PL:
-        pls = generate_tracker_pls(
-            prev_state, stage_data, tracker_cfg, old_classes, cfg.pl_conf_thresh
-        )
-        if pl_dir:
-            save_dataset(pls, pl_dir)
-        train_data = merge_labels(stage_data, pls)
-        use_contrastive = True
-    elif method is Method.DET_PL:
-        pls = generate_det_pls(
-            prev_state, stage_data, tracker_cfg, old_classes, cfg.det_pl_thresh
-        )
-        if pl_dir:
-            save_dataset(pls, pl_dir)
-        train_data = merge_labels(stage_data, pls)
-
-    state = train_model(
-        state,
-        train_data,
-        new_classes=stage_classes,
-        cfg=cfg,
-        ct_cfg=ct_cfg,
-        use_contrastive=use_contrastive,
-        seed=cfg.seed + b,
-    )
+    except NumericalError as err:
+        raise NumericalError(f"{err}, in stage {b}") from err
     save_state(out_ckpt, state, stage=b, method=method, parent_digest=parent_digest)
     return state
+
+
+def _check_lineage(path: str, metadata: dict, plan: StagePlan, b: int) -> None:
+    """Stage ``b`` of ``plan`` must start from that plan's stage ``b - 1``."""
+    expected = {
+        "stage": b - 1,
+        "method": plan.method.value,
+        "class_order": [c for classes in plan.stages[:b] for c in sorted(classes)],
+    }
+    for key, want in expected.items():
+        got = metadata.get(key)
+        if got != want:
+            raise StateError(
+                f"{path}: checkpoint {key} is {got!r}, but stage {b} of the "
+                f"{plan.method.value} plan needs {want!r}"
+            )
 
 
 def _dataset_feature_dim(ds: SequenceDataset) -> int:

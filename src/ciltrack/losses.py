@@ -189,7 +189,7 @@ class MemoryQueue:
     n_batch: int = N_BATCH
     n_class: int = N_CLASS
     eta: float = POLYAK_ETA
-    queues: dict[int, list[np.ndarray]] = field(default_factory=dict)
+    queues: dict[int, np.ndarray] = field(default_factory=dict)  # (n, d) each
 
 
 def queue_update(
@@ -207,15 +207,13 @@ def queue_update(
             continue
         n_take = min(q.n_batch, embeds.shape[0])
         idx = rng.choice(embeds.shape[0], size=n_take, replace=False)
-        queue = q.queues.setdefault(c, [])
-        for i in idx:
-            queue.append(np.array(embeds[i], dtype=np.float64))
-        del queue[: max(0, len(queue) - q.n_queue)]
+        taken = np.asarray(embeds[idx], dtype=np.float64)
+        queue = np.concatenate([q.queues[c], taken]) if c in q.queues else taken
+        queue = q.queues[c] = queue[max(0, len(queue) - q.n_queue) :]
 
         if len(queue) > q.n_class:
-            stack = np.stack(queue)
-            mu_hat = stack.mean(axis=0)
-            sigma_hat = np.maximum(stack.std(axis=0), 1e-8)
+            mu_hat = queue.mean(axis=0)
+            sigma_hat = np.maximum(queue.std(axis=0), 1e-8)
             if protos.initialized(c):
                 protos.mu[c] = q.eta * protos.mu[c] + (1 - q.eta) * mu_hat
                 protos.sigma[c] = q.eta * protos.sigma[c] + (1 - q.eta) * sigma_hat

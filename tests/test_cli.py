@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -157,6 +160,28 @@ class TestFailFast:
         assert code == 3
         err = capsys.readouterr().err
         assert "ciltrack: NumericalError: training diverged at epoch 0, step " in err
+
+    def test_divergent_training_prints_one_line(self, tmp_path):
+        # A fresh interpreter: no numpy warning, no module-import warning,
+        # only the error line, naming the stage.
+        ini = tmp_path / "div.ini"
+        ini.write_text(
+            "[world]\nn_sequences = 2\nframes_per_sequence = 8\n"
+            "[training]\nbase_lr = 1e300\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "ciltrack.cli", "run-protocol",
+             "--config", str(ini), "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith(
+            "ciltrack: NumericalError: training diverged at epoch 0, step "
+        )
+        assert lines[0].endswith("in stage 0")
 
     def test_out_of_range_config_exit_2(self, tmp_path, capsys):
         ini = tmp_path / "e0.ini"

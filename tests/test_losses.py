@@ -380,6 +380,60 @@ class TestQueue:
         assert 0 < shift < 0.1  # (1 - eta) damps the jump
 
 
+def reference_queue_update(q, protos, embeds_by_class, rng):
+    """The list-backed queue_update the array-backed one replaced: one array
+    per exemplar, stacked again for every prototype estimate."""
+    for c, embeds in embeds_by_class.items():
+        embeds = np.atleast_2d(embeds)
+        if embeds.shape[0] == 0:
+            continue
+        n_take = min(q.n_batch, embeds.shape[0])
+        idx = rng.choice(embeds.shape[0], size=n_take, replace=False)
+        queue = q.queues.setdefault(c, [])
+        for i in idx:
+            queue.append(np.array(embeds[i], dtype=np.float64))
+        del queue[: max(0, len(queue) - q.n_queue)]
+        if len(queue) > q.n_class:
+            stack = np.stack(queue)
+            mu_hat = stack.mean(axis=0)
+            sigma_hat = np.maximum(stack.std(axis=0), 1e-8)
+            if protos.initialized(c):
+                protos.mu[c] = q.eta * protos.mu[c] + (1 - q.eta) * mu_hat
+                protos.sigma[c] = q.eta * protos.sigma[c] + (1 - q.eta) * sigma_hat
+            else:
+                protos.mu[c] = mu_hat
+                protos.sigma[c] = sigma_hat
+
+
+class TestQueueReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_list_queue(self, seed):
+        # 60 random updates of up to 4 rows over 3 classes: each class
+        # crosses n_class = 6 and then n_queue = 13 and keeps evicting.
+        data = np.random.default_rng(100 + seed)
+        caps = dict(n_queue=13, n_batch=3, n_class=6, eta=0.9)
+        q, q_ref = MemoryQueue(**caps), MemoryQueue(**caps)
+        protos, protos_ref = ClassPrototypes(), ClassPrototypes()
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(60):
+            classes = data.permutation(3)[: data.integers(0, 4)]
+            batch = {
+                int(c): data.normal(size=(data.integers(0, 5), 4)) for c in classes
+            }
+            queue_update(q, protos, batch, rng)
+            reference_queue_update(q_ref, protos_ref, batch, rng_ref)
+            assert list(q.queues) == list(q_ref.queues)
+            for c, rows in q_ref.queues.items():
+                assert np.asarray(q.queues[c]).tobytes() == np.stack(rows).tobytes()
+            assert list(protos.mu) == list(protos_ref.mu)
+            for c in protos_ref.mu:
+                assert protos.mu[c].tobytes() == protos_ref.mu[c].tobytes()
+                assert protos.sigma[c].tobytes() == protos_ref.sigma[c].tobytes()
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert all(len(rows) == 13 for rows in q_ref.queues.values())
+        assert len(protos_ref.mu) == 3
+
+
 class TestPairSampling:
     def frame(self, idx, positions, inst_ids, prop_positions, feature=2):
         anns = tuple(
