@@ -18,13 +18,12 @@ import numpy as np
 
 from . import continual, metrics, tracker
 from .config import ExperimentConfig, read_config, write_config
-from .data import load_dataset, save_dataset, select_sequences, strip_labels
+from .data import load_dataset, save_dataset
 from .errors import (
     CiltrackError,
     DegenerateDistributionError,
     NumericalError,
 )
-from .simworld import corrupt_detections, generate_world
 
 _DATA_EXIT = 2
 _NUMERIC_EXIT = 3
@@ -52,11 +51,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_gen(args) -> int:
     cfg = _load_config(args)
-    ds = corrupt_detections(
-        generate_world(cfg.world),
-        cfg.noise,
-        cfg.world.seed + continual.NOISE_SEED_OFFSET,
-    )
+    ds = continual.noisy_world(cfg.world, cfg.noise)
     save_dataset(ds, args.out)
     print(f"wrote {len(ds.sequences)} sequences to {args.out}")
     return 0
@@ -64,16 +59,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train_stage(args) -> int:
     cfg = _load_config(args)
-    ds = load_dataset(args.data)
-    plan = cfg.plan.build(cfg.world)
-    b = args.stage
-    stage_classes = set(plan.stages[b])
-    stage_data = strip_labels(select_sequences(ds, stage_classes), stage_classes)
     continual.train_stage(
         args.prev,
-        stage_data,
-        plan,
-        b,
+        load_dataset(args.data),
+        cfg.plan.build(cfg.world),
+        args.stage,
         cfg.training,
         cfg.contrastive,
         cfg.tracker,

@@ -85,8 +85,17 @@ def _coerce(field: dataclasses.Field, raw: str):
         return int(raw)
     if t in ("float", float):
         return float(raw)
-    if field.name == "class_frequencies":
+    if t in ("str", str):
+        return raw.strip()
+    if t == "tuple[float, ...]":
         return _parse_float_list(raw)
+    if t == "tuple[tuple[int, ...], ...]":
+        return tuple(_parse_int_list(g) for g in raw.split(";") if g.strip())
+    if t in ("Method", Method):
+        try:
+            return Method(raw.strip())
+        except ValueError as err:
+            raise FormatError(f"unknown method {raw.strip()!r}") from err
     raise FormatError(f"cannot parse key {field.name!r}")
 
 
@@ -96,32 +105,10 @@ def _section_kwargs(cls, section: configparser.SectionProxy, section_name: str):
     for key, raw in section.items():
         if section_name == "noise" and key in _CONF_KEYS:
             continue
-        if section_name == "plan":
-            continue
         if key not in fields:
             raise FormatError(f"unknown key {key!r} in section [{section_name}]")
         kwargs[key] = _coerce(fields[key], raw)
     return kwargs
-
-
-def _parse_plan(section: configparser.SectionProxy) -> PlanConfig:
-    allowed = {"strategy", "method", "groups"}
-    kwargs = {}
-    for key, raw in section.items():
-        if key not in allowed:
-            raise FormatError(f"unknown key {key!r} in section [plan]")
-        if key == "strategy":
-            kwargs["strategy"] = raw.strip()
-        elif key == "method":
-            try:
-                kwargs["method"] = Method(raw.strip())
-            except ValueError as err:
-                raise FormatError(f"unknown method {raw.strip()!r}") from err
-        else:
-            kwargs["groups"] = tuple(
-                _parse_int_list(group) for group in raw.split(";") if group.strip()
-            )
-    return PlanConfig(**kwargs)
 
 
 def read_config(path: str) -> ExperimentConfig:
@@ -144,9 +131,6 @@ def read_config(path: str) -> ExperimentConfig:
             built[name] = cls()
             continue
         section = parser[name]
-        if name == "plan":
-            built[name] = _parse_plan(section)
-            continue
         kwargs = _section_kwargs(cls, section, name)
         if name == "noise":
             cm_kwargs = {
@@ -162,7 +146,8 @@ def read_config(path: str) -> ExperimentConfig:
 
 def _fmt_value(v) -> str:
     if isinstance(v, tuple):
-        return ", ".join(str(x) for x in v)
+        sep = "; " if v and isinstance(v[0], tuple) else ", "
+        return sep.join(_fmt_value(x) for x in v)
     if isinstance(v, Method):
         return v.value
     return str(v)
@@ -171,13 +156,8 @@ def _fmt_value(v) -> str:
 def write_config(cfg: ExperimentConfig, path: str) -> None:
     """Write the fully resolved config; reading it back reproduces cfg."""
     parser = configparser.ConfigParser()
-    for name, obj in (
-        ("world", cfg.world),
-        ("noise", cfg.noise),
-        ("tracker", cfg.tracker),
-        ("contrastive", cfg.contrastive),
-        ("training", cfg.training),
-    ):
+    for name in _SECTIONS:
+        obj = getattr(cfg, name)
         parser[name] = {}
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
@@ -188,13 +168,5 @@ def write_config(cfg: ExperimentConfig, path: str) -> None:
                 parser[name]["conf_clutter_std"] = str(value.clutter_std)
                 continue
             parser[name][f.name] = _fmt_value(value)
-    parser["plan"] = {
-        "strategy": cfg.plan.strategy,
-        "method": cfg.plan.method.value,
-    }
-    if cfg.plan.groups:
-        parser["plan"]["groups"] = "; ".join(
-            ", ".join(str(c) for c in g) for g in cfg.plan.groups
-        )
     with open(path, "w") as f:
         parser.write(f)

@@ -35,7 +35,13 @@ from .data import (
     select_sequences,
     strip_labels,
 )
-from .errors import NumericalError, StateError, check_ranges
+from .errors import (
+    FormatError,
+    NumericalError,
+    StateError,
+    ValidationError,
+    check_ranges,
+)
 from .losses import ClassPrototypes, ContrastiveConfig, MemoryQueue
 from .simworld import NoiseConfig, WorldConfig, corrupt_detections, generate_world
 from .tracker import TrackerConfig
@@ -117,17 +123,21 @@ def save_state(
 
 def load_state(path: str) -> tuple[TrainedState, dict]:
     params, metadata, extra = model.load_checkpoint(path)
+    required = ("stage", "method", "class_order", "queue_caps", "queue_eta")
+    missing = [key for key in required if key not in metadata]
+    if missing:
+        raise FormatError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
     protos = ClassPrototypes()
     if "proto_classes" in extra:
         for i, c in enumerate(extra["proto_classes"].astype(int)):
             protos.mu[int(c)] = extra["proto_mu"][i]
             protos.sigma[int(c)] = extra["proto_sigma"][i]
-    caps = metadata.get("queue_caps", [losses.N_QUEUE, losses.N_BATCH, losses.N_CLASS])
+    caps = metadata["queue_caps"]
     queue = MemoryQueue(
         n_queue=int(caps[0]),
         n_batch=int(caps[1]),
         n_class=int(caps[2]),
-        eta=float(metadata.get("queue_eta", losses.POLYAK_ETA)),
+        eta=float(metadata["queue_eta"]),
     )
     if "queue_classes" in extra:
         offset = 0
@@ -421,7 +431,7 @@ def generate_det_pls(
 
 def train_stage(
     prev_ckpt: str | None,
-    stage_data: SequenceDataset,
+    ds: SequenceDataset,
     plan: StagePlan,
     b: int,
     cfg: TrainingConfig,
@@ -432,15 +442,25 @@ def train_stage(
 ) -> TrainedState:
     """Train stage ``b`` and write its checkpoint.
 
-    Stage 0 (and ORACLE) trains a fresh model; later stages start from the
-    previous checkpoint with an extended classifier and, depending on the
-    method, merge in pseudo-labels generated by the previous model.
+    ``ds`` is the whole labelled dataset; the stage trains on the sequences
+    holding its classes, with every other class's labels stripped (ORACLE:
+    every class of the plan).  Stage 0 (and ORACLE) trains a fresh model;
+    later stages start from the previous checkpoint with an extended
+    classifier and, depending on the method, merge in pseudo-labels
+    generated by the previous model.
     """
     method = plan.method
+    if not 0 <= b < len(plan.stages):
+        raise ValidationError(
+            f"stage {b} is not in the {method.value} plan, which has "
+            f"{len(plan.stages)} stages"
+        )
     stage_classes = set(plan.stages[b]) if method is not Method.ORACLE else set(
         plan.seen_classes(len(plan.stages) - 1)
     )
+    stage_data = strip_labels(select_sequences(ds, stage_classes), stage_classes)
     feature_dim = _dataset_feature_dim(stage_data)
+    train_data, use_contrastive, parent_digest = stage_data, False, None
 
     if b == 0 or method is Method.ORACLE:
         params = model.init_params(
@@ -456,14 +476,12 @@ def train_stage(
             protos=ClassPrototypes(),
             queue=MemoryQueue(),
         )
-        train_data, use_contrastive, parent_digest = stage_data, False, None
     else:
         if prev_ckpt is None:
             raise StateError(f"stage {b} requires the stage {b - 1} checkpoint")
         prev_state, prev_meta = load_state(prev_ckpt)
         _check_lineage(prev_ckpt, prev_meta, plan, b)
         parent_digest = model.checkpoint_digest(prev_ckpt)
-        old_classes = set(prev_state.class_order)
         params = model.extend_classifier(
             prev_state.params, len(stage_classes), seed=cfg.seed + 1000 + b
         )
@@ -473,19 +491,15 @@ def train_stage(
             protos=prev_state.protos,
             queue=prev_state.queue,
         )
-        train_data, use_contrastive = stage_data, False
-        if method is Method.TRACK_PL:
-            pls = generate_tracker_pls(
-                prev_state, stage_data, tracker_cfg, old_classes, cfg.pl_conf_thresh
-            )
-            if pl_dir:
-                save_dataset(pls, pl_dir)
-            train_data = merge_labels(stage_data, pls)
-            use_contrastive = True
-        elif method is Method.DET_PL:
-            pls = generate_det_pls(
-                prev_state, stage_data, tracker_cfg, old_classes, cfg.det_pl_thresh
-            )
+        use_contrastive = method is Method.TRACK_PL
+        pl_source = {
+            Method.TRACK_PL: (generate_tracker_pls, cfg.pl_conf_thresh),
+            Method.DET_PL: (generate_det_pls, cfg.det_pl_thresh),
+        }.get(method)
+        if pl_source:
+            generate, thresh = pl_source
+            old_classes = set(prev_state.class_order)
+            pls = generate(prev_state, stage_data, tracker_cfg, old_classes, thresh)
             if pl_dir:
                 save_dataset(pls, pl_dir)
             train_data = merge_labels(stage_data, pls)
@@ -514,7 +528,7 @@ def _check_lineage(path: str, metadata: dict, plan: StagePlan, b: int) -> None:
         "class_order": [c for classes in plan.stages[:b] for c in sorted(classes)],
     }
     for key, want in expected.items():
-        got = metadata.get(key)
+        got = metadata[key]
         if got != want:
             raise StateError(
                 f"{path}: checkpoint {key} is {got!r}, but stage {b} of the "
@@ -580,6 +594,14 @@ def evaluate_state(
     )
 
 
+def noisy_world(world: WorldConfig, noise: NoiseConfig) -> SequenceDataset:
+    """The world with detector noise, seeded from ``world.seed``: what
+    ``ciltrack gen`` writes and ``run_protocol`` trains on."""
+    return corrupt_detections(
+        generate_world(world), noise, world.seed + NOISE_SEED_OFFSET
+    )
+
+
 def run_protocol(
     world: WorldConfig,
     noise: NoiseConfig,
@@ -590,43 +612,21 @@ def run_protocol(
     out_dir: str,
 ) -> list[metrics.MetricReport]:
     """Generate the world, run every stage, and evaluate each stage's model
-    on the held-out validation split over all seen classes."""
-    train_ds = corrupt_detections(
-        generate_world(world), noise, world.seed + NOISE_SEED_OFFSET
-    )
-    val_world = replace(world, seed=world.seed + VAL_SEED_OFFSET)
-    val_ds = corrupt_detections(
-        generate_world(val_world), noise, val_world.seed + NOISE_SEED_OFFSET
-    )
+    on the held-out validation split over all seen classes.  ORACLE trains
+    once, at stage 0, and every stage evaluates that model."""
+    train_ds = noisy_world(world, noise)
+    val_ds = noisy_world(replace(world, seed=world.seed + VAL_SEED_OFFSET), noise)
 
     os.makedirs(out_dir, exist_ok=True)
-    reports = []
-
-    if plan.method is Method.ORACLE:
-        stage_dir = os.path.join(out_dir, "stage_0")
+    reports, prev_ckpt = [], None
+    for b in range(len(plan.stages)):
+        stage_dir = os.path.join(out_dir, f"stage_{b}")
         os.makedirs(stage_dir, exist_ok=True)
-        ckpt = os.path.join(stage_dir, "checkpoint.bin")
-        state = train_stage(
-            None, train_ds, plan, 0, cfg, ct_cfg, tracker_cfg, out_ckpt=ckpt
-        )
-        for b in range(len(plan.stages)):
-            report = evaluate_state(
-                state, val_ds, plan.seen_classes(b), tracker_cfg, b, plan.method
-            )
-            _write_stage_report(out_dir, b, report, make_dir=b > 0)
-            reports.append(report)
-    else:
-        prev_ckpt = None
-        for b, stage_classes in enumerate(plan.stages):
-            stage_dir = os.path.join(out_dir, f"stage_{b}")
-            os.makedirs(stage_dir, exist_ok=True)
+        if b == 0 or plan.method is not Method.ORACLE:
             ckpt = os.path.join(stage_dir, "checkpoint.bin")
-            stage_data = strip_labels(
-                select_sequences(train_ds, set(stage_classes)), set(stage_classes)
-            )
             state = train_stage(
                 prev_ckpt,
-                stage_data,
+                train_ds,
                 plan,
                 b,
                 cfg,
@@ -635,12 +635,16 @@ def run_protocol(
                 out_ckpt=ckpt,
                 pl_dir=os.path.join(stage_dir, "pseudo_labels") if b > 0 else None,
             )
-            report = evaluate_state(
-                state, val_ds, plan.seen_classes(b), tracker_cfg, b, plan.method
-            )
-            _write_stage_report(out_dir, b, report, make_dir=False)
-            reports.append(report)
             prev_ckpt = ckpt
+        report = evaluate_state(
+            state, val_ds, plan.seen_classes(b), tracker_cfg, b, plan.method
+        )
+        metrics.write_report(
+            report,
+            os.path.join(stage_dir, "metrics.json"),
+            os.path.join(stage_dir, "metrics.csv"),
+        )
+        reports.append(report)
 
     protocol = {
         "method": plan.method.value,
@@ -651,14 +655,3 @@ def run_protocol(
     with open(os.path.join(out_dir, "protocol.json"), "w") as f:
         json.dump(protocol, f, indent=2, sort_keys=True)
     return reports
-
-
-def _write_stage_report(out_dir, b, report, make_dir):
-    stage_dir = os.path.join(out_dir, f"stage_{b}")
-    if make_dir:
-        os.makedirs(stage_dir, exist_ok=True)
-    metrics.write_report(
-        report,
-        os.path.join(stage_dir, "metrics.json"),
-        os.path.join(stage_dir, "metrics.csv"),
-    )

@@ -320,23 +320,6 @@ def pull_loss(batch_sigmas: dict[int, np.ndarray], sigma_p: np.ndarray):
     return total, grads
 
 
-def pull_distance_diagnostic(sigma_bar: np.ndarray, sigma_p: np.ndarray) -> float:
-    """Log-form distance between a class's batch spread and the prior
-    (second term of the Bhattacharyya distance); evaluation only, the
-    trained objective is the squared surrogate above."""
-    sigma_bar = np.asarray(sigma_bar, float)
-    sigma_p = np.asarray(sigma_p, float)
-    if np.any(sigma_bar <= 0) or np.any(sigma_p <= 0):
-        raise DegenerateDistributionError("sigmas must be elementwise positive")
-    return float(
-        0.5
-        * (
-            np.sum(np.log((sigma_bar**2 + sigma_p**2) / 2.0))
-            - np.sum(np.log(sigma_bar * sigma_p))
-        )
-    )
-
-
 def stats_backward(
     embeds_by_class: dict[int, np.ndarray],
     protos: ClassPrototypes,

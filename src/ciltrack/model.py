@@ -145,12 +145,6 @@ def forward_batch(p: ModelParams, feats: np.ndarray) -> ForwardCache:
     return ForwardCache(x=x, h1=h1, h2=h2, logits=logits, embed=embed)
 
 
-def forward(p: ModelParams, feat: np.ndarray):
-    """Single-sample forward: (logits, embed)."""
-    cache = forward_batch(p, np.asarray(feat)[None, :])
-    return cache.logits[0], cache.embed[0]
-
-
 def backward_batch(
     p: ModelParams,
     cache: ForwardCache,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ciltrack.cli import cli_dispatch
+from ciltrack.model import init_params, save_checkpoint
 
 TINY_INI = """\
 [world]
@@ -148,6 +149,39 @@ class TestPipeline:
             assert rows_a == rows_b
 
 
+class TestStagePipeline:
+    """``gen`` then ``train-stage`` per stage builds each stage the way
+    ``run-protocol`` does: same checkpoints, same pseudo-labels, bytewise."""
+
+    @pytest.mark.parametrize("method", ["track_pl", "det_pl", "finetune", "oracle"])
+    def test_cli_stages_match_run_protocol(self, tmp_path, method):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(TINY_INI.replace("method = finetune", f"method = {method}"))
+        cfg = str(ini)
+        run_dir = tmp_path / "run"
+        assert run("run-protocol", "--config", cfg, "--out", str(run_dir)) == 0
+
+        data = str(tmp_path / "data")
+        assert run("gen", "--config", cfg, "--out", data) == 0
+        s0, s1, pls = (tmp_path / n for n in ("s0.bin", "s1.bin", "pls"))
+        assert run("train-stage", "--config", cfg, "--data", data,
+                   "--stage", "0", "--out", str(s0)) == 0
+        assert s0.read_bytes() == (run_dir / "stage_0" / "checkpoint.bin").read_bytes()
+        if method == "oracle":  # trains once; stage 1 reuses stage 0
+            assert not (run_dir / "stage_1" / "checkpoint.bin").exists()
+            return
+        assert run("train-stage", "--config", cfg, "--data", data, "--stage", "1",
+                   "--prev", str(s0), "--pl-dir", str(pls), "--out", str(s1)) == 0
+        assert s1.read_bytes() == (run_dir / "stage_1" / "checkpoint.bin").read_bytes()
+        run_pls = run_dir / "stage_1" / "pseudo_labels"
+        assert pls.is_dir() == run_pls.is_dir() == (method != "finetune")
+        if pls.is_dir():
+            names = sorted(p.name for p in pls.iterdir())
+            assert names == sorted(p.name for p in run_pls.iterdir())
+            for name in names:
+                assert (pls / name).read_bytes() == (run_pls / name).read_bytes()
+
+
 class TestFailFast:
     def test_divergent_training_exit_3(self, tmp_path, capsys):
         ini = tmp_path / "div.ini"
@@ -205,3 +239,30 @@ class TestFailFast:
             err = capsys.readouterr().err
             assert err.startswith("ciltrack: FormatError: ")
             assert str(ckpt) in err and f"file has {cut}" in err
+
+    def test_incomplete_checkpoint_metadata_exit_2(self, tmp_path, ini, capsys):
+        data = str(tmp_path / "data")
+        run("gen", "--config", ini, "--out", data)
+        ckpt = str(tmp_path / "bare.bin")
+        params = init_params(feature_dim=12, n_classes=2, hidden_dim=16, embed_dim=8)
+        save_checkpoint(ckpt, params, {"stage": 0})
+        code = run("track", "--config", ini, "--ckpt", ckpt,
+                   "--data", data, "--out", str(tmp_path / "trk"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ciltrack: FormatError: ")
+        assert ckpt in err and "class_order" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("stage", ["5", "-1"])
+    def test_stage_outside_plan_exit_2(self, tmp_path, ini, capsys, stage):
+        data = str(tmp_path / "data")
+        run("gen", "--config", ini, "--out", data)
+        out = tmp_path / "s.bin"
+        code = run("train-stage", "--config", ini, "--data", data,
+                   "--stage", stage, "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ciltrack: ValidationError: stage {stage} ")
+        assert "2 stages" in err
+        assert not out.exists()

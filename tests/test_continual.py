@@ -20,7 +20,7 @@ from ciltrack.continual import (
     train_stage,
 )
 from ciltrack.data import Frame, Method, SequenceDataset, select_sequences, strip_labels
-from ciltrack.errors import StateError
+from ciltrack.errors import FormatError, StateError
 from ciltrack.losses import ClassPrototypes, ContrastiveConfig, MemoryQueue
 from ciltrack.model import init_params
 from ciltrack.simworld import NoiseConfig, WorldConfig, corrupt_detections, generate_world
@@ -101,6 +101,20 @@ class TestStatePersistence:
         back, _ = load_state(path)
         assert back.protos.classes() == []
         assert back.queue.queues == {}
+
+    @pytest.mark.parametrize(
+        "key", ["stage", "method", "class_order", "queue_caps", "queue_eta"]
+    )
+    def test_incomplete_metadata_rejected(self, tmp_path, key):
+        state = fresh_state()
+        path = str(tmp_path / "ckpt.bin")
+        save_state(path, state, stage=0, method=Method.FINETUNE)
+        _, metadata, _ = model.load_checkpoint(path)
+        del metadata[key]
+        model.save_checkpoint(path, state.params, metadata)
+        with pytest.raises(FormatError, match=key) as err:
+            load_state(path)
+        assert path in str(err.value)
 
 
 class TestTrainModel:
@@ -407,6 +421,21 @@ class TestTrainStage:
             )
         assert c0 in str(err.value)
         assert not (tmp_path / "s1.bin").exists()
+
+    @pytest.mark.parametrize("method", [Method.FINETUNE, Method.ORACLE])
+    def test_selects_its_own_labels(self, tmp_path, method):
+        # The whole dataset and the stage's own selection train the same
+        # model: selecting and stripping twice is the same as once.
+        ds = tiny_dataset()
+        plan = plan_semantic([(0, 1), (2,)], method)
+        classes = {0, 1} if method is Method.FINETUNE else {0, 1, 2}
+        whole, own = str(tmp_path / "whole.bin"), str(tmp_path / "own.bin")
+        train_stage(None, ds, plan, 0, FAST_TRAIN, CT, TRK, out_ckpt=whole)
+        stripped = strip_labels(select_sequences(ds, classes), classes)
+        train_stage(None, stripped, plan, 0, FAST_TRAIN, CT, TRK, out_ckpt=own)
+        with open(whole, "rb") as a, open(own, "rb") as b:
+            assert a.read() == b.read()
+        assert load_state(whole)[0].class_order == sorted(classes)
 
     def test_stage_data_isolation(self, tmp_path):
         # The stage-1 training input must contain no stage-1 ground truth

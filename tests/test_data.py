@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ciltrack.data import (
     PSEUDO_ID_BASE,
@@ -190,3 +192,117 @@ class TestAlgebra:
         pl = seq([Frame(frame_index=1, annotations=(ann(0.6, 0.6, cls=0, inst=2, conf=0.9),))])
         with pytest.raises(FormatError):
             merge_labels(gt, pl)
+
+
+# ---------------------------------------------------------------------------
+# Label-algebra properties
+
+NEW, OLD = frozenset({0, 1, 2}), frozenset({3, 4, 5})
+_FRAME_INDICES = st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True)
+
+
+def _anns(draw, classes, pseudo):
+    """Distinct-(class, id) annotations of ``classes`` in one frame.  An id
+    fixes its class across a sequence: ground truth ``100 * class + k``,
+    pseudo-labels ``class + 10 * j`` from 1000 up (distinct modulo the
+    reserved range, or None)."""
+    out = []
+    for c in draw(st.lists(st.sampled_from(sorted(classes)), max_size=3)):
+        if pseudo:
+            j = draw(st.integers(100, 3 * PSEUDO_ID_BASE // 10))
+            inst = draw(st.sampled_from([c + 10 * j, None]))
+            conf = draw(st.floats(0.0, 1.0))
+        else:
+            inst, conf = 100 * c + len(out), None
+        out.append(ann(draw(st.floats(0.1, 0.9)), draw(st.floats(0.1, 0.9)),
+                       cls=c, inst=inst, conf=conf, feat=[len(out), c]))
+    if pseudo:  # drop ids that would collide once shifted
+        seen, unique = set(), []
+        for a in out:
+            key = None if a.instance_id is None else a.instance_id % PSEUDO_ID_BASE
+            if key is None or key not in seen:
+                seen.add(key)
+                unique.append(a)
+        out = unique
+    return tuple(out)
+
+
+@st.composite
+def label_pairs(draw, gt_classes=NEW, pl_classes=OLD):
+    """(gt, pl): two datasets over the same sequences and frames, ground
+    truth (with proposals) of ``gt_classes`` and pseudo-labels of
+    ``pl_classes``."""
+    gt, pl = [], []
+    for n in range(draw(st.integers(0, 3))):
+        gt_frames, pl_frames = [], []
+        for i in sorted(draw(_FRAME_INDICES)):
+            props = tuple(
+                ann(0.5, 0.5, cls=0, inst=None, conf=0.5, feat=[k, 0])
+                for k in range(draw(st.integers(0, 2)))
+            )
+            gt_frames.append(Frame(i, _anns(draw, gt_classes, False), props))
+            pl_frames.append(Frame(i, _anns(draw, pl_classes, True)))
+        gt.append((f"{n:03d}", gt_frames))
+        pl.append((f"{n:03d}", pl_frames))
+    names = {c: str(c) for c in range(6)}
+    return SequenceDataset(gt, names), SequenceDataset(pl, names)
+
+
+def _key(ds):
+    def anns(items):
+        return tuple(
+            (a.box, a.class_id, a.instance_id, a.confidence, a.feature.tobytes())
+            for a in items
+        )
+
+    return ds.class_names, tuple(
+        (sid, tuple((f.frame_index, anns(f.annotations), anns(f.proposals))
+                    for f in fs))
+        for sid, fs in ds.sequences
+    )
+
+
+def _stage_view(ds, classes):
+    return strip_labels(select_sequences(ds, classes), classes)
+
+
+def _overlay(gt, pl):
+    """Both inputs' annotations in one dataset, whatever their classes."""
+    return SequenceDataset(
+        [
+            (sid, [Frame(g.frame_index, g.annotations + p.annotations, g.proposals)
+                   for g, p in zip(gt_frames, pl_frames)])
+            for (sid, gt_frames), (_, pl_frames) in zip(gt.sequences, pl.sequences)
+        ],
+        gt.class_names,
+    )
+
+
+class TestAlgebraProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair=label_pairs(gt_classes=NEW | OLD, pl_classes=NEW | OLD),
+        classes=st.sets(st.integers(0, 6), min_size=1),
+    )
+    def test_stage_view_idempotent(self, pair, classes):
+        once = _stage_view(_overlay(*pair), classes)
+        assert _key(_stage_view(once, classes)) == _key(once)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=label_pairs())
+    def test_strip_undoes_merge(self, pair):
+        gt, pl = pair
+        assert _key(strip_labels(merge_labels(gt, pl), set(NEW))) == _key(gt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=label_pairs())
+    def test_merged_pseudo_ids_in_reserved_range(self, pair):
+        gt, pl = pair
+        merged = merge_labels(gt, pl)
+        for (_, gt_frames), (_, frames) in zip(gt.sequences, merged.sequences):
+            for gt_frame, frame in zip(gt_frames, frames):
+                shifted = frame.annotations[len(gt_frame.annotations) :]
+                assert {a.class_id for a in shifted} <= OLD
+                for a in shifted:
+                    if a.instance_id is not None:
+                        assert PSEUDO_ID_BASE <= a.instance_id < 2 * PSEUDO_ID_BASE

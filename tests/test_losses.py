@@ -12,7 +12,6 @@ from ciltrack.losses import (
     bhattacharyya,
     detection_loss,
     match_proposals,
-    pull_distance_diagnostic,
     pull_loss,
     push_distance,
     push_loss,
@@ -290,12 +289,6 @@ class TestPullLoss:
     def test_zero_prior_rejected(self):
         with pytest.raises(DegenerateDistributionError):
             pull_loss({0: np.ones(2)}, np.zeros(2))
-
-    def test_diagnostic_zero_at_prior_positive_elsewhere(self):
-        sigma_p = np.full(2, 0.05)
-        assert pull_distance_diagnostic(sigma_p, sigma_p) == pytest.approx(0.0)
-        assert pull_distance_diagnostic(2 * sigma_p, sigma_p) > 0.0
-
 
 class TestBatchStats:
     def test_stats_backward_matches_finite_differences(self):

@@ -19,7 +19,6 @@ from ciltrack.model import (
     checkpoint_digest,
     clip_grads,
     extend_classifier,
-    forward,
     forward_batch,
     grad_check,
     init_params,
@@ -56,14 +55,6 @@ class TestForward:
         cache = forward_batch(P, np.random.default_rng(0).normal(size=(6, 5)))
         assert cache.logits.shape == (6, 4)
         assert cache.embed.shape == (6, 4)
-
-    def test_single_matches_batch(self):
-        x = np.random.default_rng(1).normal(size=(3, 5))
-        cache = forward_batch(P, x)
-        for i in range(3):
-            logits, embed = forward(P, x[i])
-            assert np.allclose(logits, cache.logits[i])
-            assert np.allclose(embed, cache.embed[i])
 
     def test_wrong_feature_dim_rejected(self):
         with pytest.raises(ShapeError):
